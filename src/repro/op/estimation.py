@@ -93,7 +93,14 @@ class FrequencyProfileEstimator(ProfileEstimator):
             labels = np.asarray(labels, dtype=int)
             if labels.shape != (len(x),):
                 raise DataError("labels must align with the operational inputs")
-        counts = np.bincount(labels, minlength=self.reference.num_classes).astype(float)
+        num_classes = self.reference.num_classes
+        outside = labels[(labels < 0) | (labels >= num_classes)]
+        if len(outside):
+            raise DataError(
+                f"operational labels must lie in [0, {num_classes}) of the "
+                f"reference classes, got {sorted(set(outside.tolist()))}"
+            )
+        counts = np.bincount(labels, minlength=num_classes).astype(float)
         priors = counts + self.smoothing
         priors = priors / priors.sum()
 
@@ -148,10 +155,9 @@ class KDEProfileEstimator(ProfileEstimator):
             idx = generator.choice(len(x), size=self.max_samples, replace=False)
             x = x[idx]
             labels = labels[idx] if labels is not None else None
-        profile = EmpiricalProfile(x, labels=labels, bandwidth=self.bandwidth)
-        noise = self.resample_noise if self.resample_noise is not None else profile.bandwidth
-        profile.resample_noise = float(noise)
-        return profile
+        return EmpiricalProfile(
+            x, labels=labels, bandwidth=self.bandwidth, resample_noise=self.resample_noise
+        )
 
 
 @dataclass

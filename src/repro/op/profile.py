@@ -16,7 +16,8 @@ operational data (see :mod:`repro.op.estimation`).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import threading
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +25,11 @@ from ..config import EPSILON, RngLike, ensure_rng
 from ..data.dataset import Dataset
 from ..data.partition import Partition
 from ..exceptions import ProfileError, ShapeError
+
+#: float64 elements in the KDE scratch buffer (512 KiB): a pool of
+#: ``len(samples) * d`` elements gets ``max(1, 2**16 // (len(samples) * d))``
+#: query rows per block, so the kernel works in cache whatever the pool size.
+_KDE_SCRATCH_ELEMENTS = 2**16
 
 
 class OperationalProfile:
@@ -205,10 +211,14 @@ class GaussianMixtureProfile(OperationalProfile):
 class EmpiricalProfile(OperationalProfile):
     """OP represented by a weighted pool of operational samples.
 
-    Density queries use a Gaussian kernel density estimate over the pool;
-    sampling draws pool rows (with replacement) proportionally to their
-    weights and optionally adds resampling noise ("smoothed bootstrap") so the
-    synthesised operational dataset is not a verbatim copy of the pool.
+    Density queries use a Gaussian kernel density estimate over the pool,
+    memoised per query row (at most ``4 * len(samples)`` rows, oldest evicted
+    first, safe to share between threads, left out of pickles), so the pool,
+    weights and bandwidth must not be mutated after construction.  Sampling
+    draws pool rows (with replacement) proportionally to their weights and
+    optionally adds resampling noise ("smoothed bootstrap"; ``None`` uses the
+    bandwidth) so the synthesised operational dataset is not a verbatim copy
+    of the pool.
     """
 
     def __init__(
@@ -217,7 +227,7 @@ class EmpiricalProfile(OperationalProfile):
         labels: Optional[np.ndarray] = None,
         weights: Optional[np.ndarray] = None,
         bandwidth: Optional[float] = None,
-        resample_noise: float = 0.0,
+        resample_noise: Optional[float] = 0.0,
     ) -> None:
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         if len(samples) == 0:
@@ -243,9 +253,30 @@ class EmpiricalProfile(OperationalProfile):
         if bandwidth <= 0:
             raise ProfileError("bandwidth must be positive")
         self.bandwidth = float(bandwidth)
+        if resample_noise is None:
+            resample_noise = self.bandwidth
         if resample_noise < 0:
             raise ProfileError("resample_noise must be non-negative")
         self.resample_noise = float(resample_noise)
+        self._init_memo()
+
+    def _init_memo(self) -> None:
+        # keyed by the exact float64 bytes of a query row (not a digest, so
+        # distinct rows never collide).  Called only from __init__ and
+        # __setstate__, before the object is shared.
+        self._memo: Dict[bytes, float] = {}  # repro: allow[lock-discipline]
+        self._memo_lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        # the memo and its lock stay out of pickles and deep copies, so the
+        # replicas sent to workers do not grow with the queries made so far
+        state = self.__dict__.copy()
+        del state["_memo"], state["_memo_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._init_memo()
 
     @staticmethod
     def _scott_bandwidth(samples: np.ndarray) -> float:
@@ -261,21 +292,45 @@ class EmpiricalProfile(OperationalProfile):
 
     def density(self, x: np.ndarray) -> np.ndarray:
         x = self._check_input(x)
-        # Gaussian KDE with shared isotropic bandwidth, evaluated blockwise to
-        # bound memory for large pools.
+        keys = [row.tobytes() for row in x]
+        with self._memo_lock:
+            known = [self._memo.get(key) for key in keys]
+        # rows the memo lacks are evaluated once each, outside the lock
+        misses: Dict[bytes, int] = {}
+        for i, (key, value) in enumerate(zip(keys, known)):
+            if value is None:
+                misses.setdefault(key, i)
+        fresh = dict(zip(misses, self._kde(x[list(misses.values())]).tolist()))
+        if fresh:
+            bound = 4 * len(self.samples)
+            with self._memo_lock:
+                memo = self._memo
+                for key, value in fresh.items():
+                    # FIFO eviction, only on a genuine insert
+                    if key not in memo and len(memo) >= bound:
+                        memo.pop(next(iter(memo)))
+                    memo[key] = value
+        return np.array([fresh[k] if v is None else v for k, v in zip(keys, known)])
+
+    def _kde(self, x: np.ndarray) -> np.ndarray:
+        # Gaussian KDE with shared isotropic bandwidth, evaluated in blocks of
+        # rows whose (rows, len(samples), d) scratch buffer stays cache-sized.
+        # Each row's result depends only on that row and the pool, never on
+        # the block it lands in.
+        n, d = self.samples.shape
         h2 = self.bandwidth**2
-        d = self.num_features
         log_norm = -0.5 * d * np.log(2 * np.pi * h2)
-        densities = np.zeros(len(x))
-        block = 256
+        block = max(1, _KDE_SCRATCH_ELEMENTS // (n * d))
+        scratch = np.empty((min(block, len(x)), n, d))
+        densities = np.empty(len(x))
         for start in range(0, len(x), block):
             chunk = x[start : start + block]
-            sq_dist = np.sum(
-                (chunk[:, None, :] - self.samples[None, :, :]) ** 2, axis=2
-            )
-            log_kernel = log_norm - 0.5 * sq_dist / h2
+            sq = scratch[: len(chunk)]
+            np.subtract(chunk[:, None, :], self.samples, out=sq)
+            np.square(sq, out=sq)
+            log_kernel = log_norm - 0.5 * sq.sum(axis=2) / h2
             max_log = log_kernel.max(axis=1, keepdims=True)
-            weighted = self.weights[None, :] * np.exp(log_kernel - max_log)
+            weighted = self.weights * np.exp(log_kernel - max_log)
             densities[start : start + block] = np.exp(max_log[:, 0]) * weighted.sum(axis=1)
         return densities
 

@@ -67,6 +67,29 @@ class TestFrequencyEstimator:
         with pytest.raises(DataError):
             estimator.fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("bad_label", [4, 5, -1])
+    def test_labels_outside_reference_classes_rejected(self, reference_data, bad_label):
+        # 4 classes: a label >= 4 used to vanish from the prior and a
+        # negative one escaped as a bare numpy ValueError
+        labels = np.zeros(10, dtype=int)
+        labels[2:] = bad_label
+        estimator = FrequencyProfileEstimator(reference=reference_data)
+        with pytest.raises(DataError, match="labels must lie in"):
+            estimator.fit(reference_data.x[:10], labels)
+
+    def test_pseudo_labels_outside_reference_classes_rejected(self, reference_data):
+        class SixClassModel:
+            """Stand-in classifier predicting class 5 of 6 for every input."""
+
+            def predict_proba(self, x):
+                proba = np.zeros((len(x), 6))
+                proba[:, 5] = 1.0
+                return proba
+
+        estimator = FrequencyProfileEstimator(reference=reference_data, model=SixClassModel())
+        with pytest.raises(DataError, match="labels must lie in"):
+            estimator.fit(reference_data.x[:10])
+
 
 class TestKDEEstimator:
     def test_density_concentrates_on_data(self, operational_stream):
@@ -88,6 +111,16 @@ class TestKDEEstimator:
     def test_misaligned_labels_rejected(self):
         with pytest.raises(DataError):
             KDEProfileEstimator().fit(np.zeros((5, 2)), np.zeros(3, dtype=int))
+
+    def test_negative_resample_noise_rejected(self):
+        with pytest.raises(ProfileError, match="resample_noise"):
+            KDEProfileEstimator(resample_noise=-0.5).fit(np.random.default_rng(0).random((20, 2)))
+
+    def test_resample_noise_defaults_to_bandwidth(self, operational_stream):
+        x, _ = operational_stream
+        profile = KDEProfileEstimator(rng=0).fit(x)
+        assert profile.resample_noise == profile.bandwidth
+        assert KDEProfileEstimator(bandwidth=0.07).fit(x).resample_noise == 0.07
 
 
 class TestGMMEstimator:
