@@ -29,8 +29,18 @@ from ..nn.metrics import accuracy
 from ..op.profile import OperationalProfile
 from ..runtime.policy import ExecutionPolicy, resolve_legacy_knobs
 from ..types import Classifier
-from .bayesian import BayesianCellModel, BetaPrior
+from .bayesian import BayesianCellModel, BetaPrior, beta_lower_bounds
 from .cells import CellEvidenceTable, CellRobustnessEvaluator
+
+
+def _check_verdict_confidence(confidence: float) -> None:
+    """Reject confidence levels whose "upper" bound is not conservative.
+
+    Below 0.5 the upper credible bound falls under the posterior median, so a
+    stopping decision on it would be optimistic.
+    """
+    if not 0.5 <= confidence < 1:
+        raise ReliabilityError("confidence must be in [0.5, 1)")
 
 
 @dataclass
@@ -115,8 +125,7 @@ class StoppingRule:
     def __post_init__(self) -> None:
         if self.target_pmi <= 0:
             raise ReliabilityError("target_pmi must be positive")
-        if not 0 < self.confidence < 1:
-            raise ReliabilityError("confidence must be in (0, 1)")
+        _check_verdict_confidence(self.confidence)
         if self.max_iterations <= 0:
             raise ReliabilityError("max_iterations must be positive")
         if self.max_test_cases is not None and self.max_test_cases <= 0:
@@ -179,8 +188,7 @@ class ReliabilityAssessor:
         policy: Optional[ExecutionPolicy] = None,
         rng: RngLike = None,
     ) -> None:
-        if not 0 < confidence < 1:
-            raise ReliabilityError("confidence must be in (0, 1)")
+        _check_verdict_confidence(confidence)
         self.policy = resolve_legacy_knobs(
             "ReliabilityAssessor",
             policy,
@@ -227,15 +235,9 @@ class ReliabilityAssessor:
         weights = self._cell_probs
         point = self.bayes.posterior_means(table)
         upper = self.bayes.posterior_upper_bounds(table, self.confidence)
-        lower_model = BayesianCellModel(prior=self.bayes.prior)
-        lower = np.array(
-            [
-                lower_model.posterior_for(ev.trials, ev.failures, cid).lower_bound(self.confidence)
-                if (ev := table.cells.get(cid)) is not None
-                else 0.0
-                for cid in range(self.partition.num_cells)
-            ]
-        )
+        cell_ids, alpha, beta = self.bayes.posterior_arrays(table)
+        lower = np.zeros(self.partition.num_cells)
+        lower[cell_ids] = beta_lower_bounds(alpha, beta, self.confidence)
         pmi = float(np.dot(weights, point))
         pmi_upper = float(np.dot(weights, upper))
         pmi_lower = float(np.dot(weights, lower))

@@ -17,7 +17,7 @@ assessor can treat them conservatively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -95,18 +95,31 @@ class CellEvidenceTable:
             values[cell_id] = evidence.unastuteness
         return values
 
+    def evidence_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cell_ids, trials, failures)`` of every cell present in the table.
+
+        One entry per key of :attr:`cells`, in insertion order; cells recorded
+        with zero trials are included.
+        """
+        count = len(self.cells)
+        evidence = self.cells.values()
+        cell_ids = np.fromiter(self.cells, dtype=np.intp, count=count)
+        trials = np.fromiter((ev.trials for ev in evidence), dtype=int, count=count)
+        failures = np.fromiter((ev.failures for ev in evidence), dtype=int, count=count)
+        return cell_ids, trials, failures
+
     def trials_vector(self) -> np.ndarray:
         """Per-cell number of trials over the whole partition."""
+        cell_ids, trials, _ = self.evidence_arrays()
         values = np.zeros(self.partition.num_cells, dtype=int)
-        for cell_id, evidence in self.cells.items():
-            values[cell_id] = evidence.trials
+        values[cell_ids] = trials
         return values
 
     def failures_vector(self) -> np.ndarray:
         """Per-cell number of observed failures over the whole partition."""
+        cell_ids, _, failures = self.evidence_arrays()
         values = np.zeros(self.partition.num_cells, dtype=int)
-        for cell_id, evidence in self.cells.items():
-            values[cell_id] = evidence.failures
+        values[cell_ids] = failures
         return values
 
     @property

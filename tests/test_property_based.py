@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,14 +12,27 @@ from repro.config import clip01, ensure_rng
 from repro.data import Dataset, GridPartition
 from repro.engine import BatchedQueryEngine, QueryStats, plan_shards
 from repro.engine.transport import ShmRing, request_block_bytes
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReliabilityError
 from repro.faults import reassign_worker, replan
 from repro.fuzzing import FuzzerConfig, OperationalFuzzer
 from repro.store import PersistentQueryCache
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy, confusion_matrix, prediction_margin
-from repro.op import hellinger_distance, js_divergence, kl_divergence, total_variation
-from repro.reliability import BayesianCellModel, BetaPrior
+from repro.op import (
+    CellProfile,
+    hellinger_distance,
+    js_divergence,
+    kl_divergence,
+    total_variation,
+)
+from repro.reliability import (
+    BayesianCellModel,
+    BetaPrior,
+    CellEvidence,
+    CellEvidenceTable,
+    ReliabilityAssessor,
+)
+from repro.reliability.bayesian import beta_lower_bounds
 
 
 # --------------------------------------------------------------------------- #
@@ -569,18 +582,74 @@ class TestPersistentCacheBackendProperties:
 # --------------------------------------------------------------------------- #
 # Bayesian reliability model
 # --------------------------------------------------------------------------- #
+@st.composite
+def evidence_tables(draw):
+    """Tables mixing absent cells, zero-trial cells and tested cells."""
+    partition = GridPartition(2, bins_per_dim=draw(st.integers(min_value=1, max_value=5)))
+    present = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=partition.num_cells - 1),
+            unique=True,
+            max_size=partition.num_cells,
+        )
+    )
+    table = CellEvidenceTable(partition=partition)
+    for cell_id in present:
+        trials = draw(st.integers(min_value=0, max_value=400))
+        failures = draw(st.integers(min_value=0, max_value=trials))
+        table.add(CellEvidence(cell_id=cell_id, label=0, trials=trials, failures=failures))
+    return table
+
+
+def _reference_bounds(model, table, confidence):
+    """Per-cell ``(means, uppers, lowers)`` from ``scipy.stats.beta.ppf``.
+
+    Absent cells take the model's default posterior for the mean and upper
+    bound and a lower bound of 0; below the 0.5 crossover the lower bound is
+    capped at the upper one.
+    """
+    from scipy import stats
+
+    prior = model.prior
+    means, uppers, lowers = [], [], []
+    for cell_id in range(table.partition.num_cells):
+        evidence = table.cells.get(cell_id)
+        if evidence is not None:
+            a = prior.alpha + evidence.failures
+            b = prior.beta + (evidence.trials - evidence.failures)
+        elif model.unexplored_pessimistic:
+            a, b = prior.alpha, prior.beta
+        else:
+            a, b = 1e-3, 1e3
+        upper = float(stats.beta.ppf(confidence, a, b))
+        lower = 0.0
+        if evidence is not None:
+            lower = float(stats.beta.ppf(1.0 - confidence, a, b))
+            if confidence <= 0.5 + 1e-9:
+                lower = min(lower, upper)
+        means.append(a / (a + b))
+        uppers.append(upper)
+        lowers.append(lower)
+    return np.array(means), np.array(uppers), np.array(lowers)
+
+
 class TestBayesianProperties:
     @given(
         st.integers(min_value=0, max_value=500),
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        st.floats(min_value=0.5, max_value=0.99),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     )
     @settings(max_examples=60, deadline=None)
     def test_bounds_are_ordered_and_in_unit_interval(self, trials, failure_rate, confidence):
         failures = int(round(trials * failure_rate))
         posterior = BayesianCellModel(BetaPrior(1.0, 9.0)).posterior_for(trials, failures)
-        lower = posterior.lower_bound(confidence)
-        upper = posterior.upper_bound(confidence)
+        try:
+            lower = posterior.lower_bound(confidence)
+            upper = posterior.upper_bound(confidence)
+        except ReliabilityError:
+            # only far in the lower tail, where betaincinv's root finding fails
+            assert confidence < 1e-50
+            return
         assert 0.0 <= lower <= upper <= 1.0
         assert 0.0 <= posterior.mean <= 1.0
         # at high confidence the one-sided bounds must bracket the mean
@@ -594,3 +663,56 @@ class TestBayesianProperties:
         small = model.posterior_for(trials, 0).upper_bound(0.95)
         large = model.posterior_for(trials * 2, 0).upper_bound(0.95)
         assert large <= small + 1e-12
+
+    @given(
+        evidence_tables(),
+        st.builds(
+            BetaPrior,
+            st.floats(min_value=0.05, max_value=5.0),
+            st.floats(min_value=0.05, max_value=50.0),
+        ),
+        st.booleans(),
+        st.sampled_from([0.5, 0.5 + 1e-10, 0.85, 0.9, 0.95, 0.999]),
+    )
+    @example(
+        table=CellEvidenceTable(partition=GridPartition(2, bins_per_dim=3)),
+        prior=BetaPrior(),
+        pessimistic=True,
+        confidence=0.95,
+    )
+    @example(
+        table=CellEvidenceTable(partition=GridPartition(2, bins_per_dim=3)),
+        prior=BetaPrior(),
+        pessimistic=False,
+        confidence=0.5,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_vectorised_bounds_match_per_cell_reference_bit_for_bit(
+        self, table, prior, pessimistic, confidence
+    ):
+        model = BayesianCellModel(prior, unexplored_pessimistic=pessimistic)
+        means, uppers, lowers = _reference_bounds(model, table, confidence)
+
+        def assert_same_bits(actual, expected):
+            actual = np.asarray(actual, dtype=float)
+            np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+        assert_same_bits(model.posterior_means(table), means)
+        assert_same_bits(model.posterior_upper_bounds(table, confidence), uppers)
+        cell_ids, alpha, beta = model.posterior_arrays(table)
+        assert_same_bits(beta_lower_bounds(alpha, beta, confidence), lowers[cell_ids])
+
+        # the assessor's estimate is the OP-weighted sum of the same vectors
+        # (its own model always keeps unexplored cells pessimistic)
+        if pessimistic:
+            partition = table.partition
+            profile = CellProfile(partition, np.arange(1.0, partition.num_cells + 1.0))
+            assessor = ReliabilityAssessor(
+                partition, profile, prior=prior, confidence=confidence
+            )
+            estimate = assessor.assess_from_evidence(table)
+            weights = assessor.cell_probabilities
+            assert_same_bits(estimate.pmi, np.dot(weights, means))
+            assert_same_bits(estimate.pmi_upper, np.dot(weights, uppers))
+            assert_same_bits(estimate.pmi_lower, np.dot(weights, lowers))
+

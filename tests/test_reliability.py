@@ -1,8 +1,15 @@
 """Tests for the cell-based reliability assessment (RQ5)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data import GridPartition
 from repro.exceptions import ReliabilityError
 from repro.reliability import (
@@ -15,6 +22,7 @@ from repro.reliability import (
     ReliabilityEstimate,
     StoppingRule,
 )
+from repro.reliability.bayesian import beta_lower_bounds, beta_upper_bounds
 
 
 class TestCellEvidence:
@@ -145,6 +153,65 @@ class TestBayesianCellModel:
         assert np.all(model.posterior_means(table) < 0.01)
 
 
+class TestBoundsBelowOneHalf:
+    """Below confidence 0.5 the one-sided quantiles cross; lower is capped."""
+
+    @pytest.mark.parametrize("confidence", [0.3, 0.5 - 1e-12, 0.5, 0.5 + 1e-10])
+    def test_scalar_lower_bound_never_above_upper(self, confidence):
+        posterior = BayesianCellModel().posterior_for(trials=20, failures=3)
+        assert posterior.lower_bound(confidence) <= posterior.upper_bound(confidence)
+
+    @pytest.mark.parametrize("confidence", [0.3, 0.5 - 1e-12, 0.5, 0.5 + 1e-10])
+    def test_vectorised_lower_bounds_never_above_upper(self, confidence):
+        alpha = np.array([1.0, 4.0, 3.0, 51.0])
+        beta = np.array([9.0, 26.0, 1000.0, 9.0])
+        lower = beta_lower_bounds(alpha, beta, confidence)
+        assert np.all(lower <= beta_upper_bounds(alpha, beta, confidence))
+
+    def test_unconverged_tail_quantile_raises_instead_of_nan(self):
+        posterior = BayesianCellModel().posterior_for(trials=1, failures=1)
+        with pytest.raises(ReliabilityError):
+            posterior.upper_bound(5e-324)
+        with pytest.raises(ReliabilityError):
+            posterior.lower_bound(5e-324)
+
+    def test_cap_leaves_conservative_levels_alone(self):
+        posterior = BayesianCellModel().posterior_for(trials=20, failures=3)
+        assert posterior.lower_bound(0.9) < posterior.mean < posterior.upper_bound(0.9)
+
+
+def test_scipy_stats_stays_out_of_the_import_graph():
+    """Importing the package and assessing must not load ``scipy.stats`` (~1 s)."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import numpy as np
+
+        import repro, repro.store.cli, repro.runtime.spec
+        import repro.evaluation.scenarios, repro.core.workflow
+        from repro.data import GridPartition
+        from repro.op import CellProfile
+        from repro.reliability import CellEvidence, CellEvidenceTable, ReliabilityAssessor
+
+        partition = GridPartition(2, bins_per_dim=3)
+        profile = CellProfile(partition, np.ones(partition.num_cells))
+        assessor = ReliabilityAssessor(partition, profile, rng=0)
+        table = CellEvidenceTable(partition=partition)
+        table.add(CellEvidence(cell_id=4, label=0, trials=12, failures=2))
+        table.add(CellEvidence(cell_id=7, label=None))
+        estimate = assessor.assess_from_evidence(table)
+        assert 0.0 <= estimate.pmi_lower <= estimate.pmi <= estimate.pmi_upper <= 1.0
+        assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestReliabilityAssessor:
     @pytest.fixture()
     def assessor(self, cluster_profile):
@@ -226,6 +293,12 @@ class TestReliabilityAssessor:
         with pytest.raises(ReliabilityError):
             ReliabilityAssessor(GridPartition(2, 4), cluster_profile, confidence=1.0)
 
+    @pytest.mark.parametrize("confidence", [0.3, 0.5 - 1e-12])
+    def test_confidence_below_one_half_rejected(self, cluster_profile, confidence):
+        # the "upper" credible bound sits below the posterior median there
+        with pytest.raises(ReliabilityError):
+            ReliabilityAssessor(GridPartition(2, 4), cluster_profile, confidence=confidence)
+
 
 class TestStoppingRule:
     def _estimate(self, pmi_upper):
@@ -266,8 +339,14 @@ class TestStoppingRule:
             {"confidence": 1.0},
             {"max_iterations": 0},
             {"max_test_cases": 0},
+            {"confidence": 0.3},
+            {"confidence": 0.5 - 1e-12},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ReliabilityError):
             StoppingRule(**kwargs)
+
+    def test_confidence_one_half_accepted(self):
+        assert StoppingRule(confidence=0.5).confidence == 0.5
+
